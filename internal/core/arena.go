@@ -76,6 +76,7 @@ func (s *Scratch) Ptr() unsafe.Pointer { return unsafe.Pointer(&s.buf[0]) }
 type frameArena struct {
 	free *Scratch // local list; owner-only plain memory
 	n    int
+	_    [slotPad]byte // the local list is the owner's; remote is everyone's
 	// remote is the MPSC hand-back list: pushed with a CAS by any worker
 	// releasing one of this slot's blocks, emptied with one Swap by the
 	// slot owner on a local miss. remoteN is the racy length gate for

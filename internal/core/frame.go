@@ -232,6 +232,9 @@ func (w *W) suspend(f *Frame) bool {
 		rt.goroutineWG.Add(1)
 		go rt.thiefLoop(w.slot)
 		w.slot = <-f.resume
+		// The finisher's slot may differ from the one given up: count on
+		// the shard of the slot now held, so no two goroutines share one.
+		w.stats = rt.shard(w.slot.id)
 	} else {
 		<-f.resume // goroutine baseline: plain blocking join
 	}

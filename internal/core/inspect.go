@@ -17,12 +17,14 @@ import "fibril/internal/stack"
 func (rt *Runtime) QueuedTasks() int {
 	n := rt.loose.len()
 	for _, w := range rt.workers {
-		n += w.deque.Len()
-		// The relaxed deque's Len covers only its published window; tasks
-		// still private to the owner count too — at quiescence both must
-		// be empty.
-		if u, ok := w.deque.(interface{ Unpublished() int }); ok {
-			n += u.Unpublished()
+		// The relaxed deque's Len covers only its published window, which
+		// at quiescence may still hold entries that already ran (see
+		// deque.Relaxed.Pending); Pending counts the private backlog and
+		// the unclaimed window entries instead.
+		if p, ok := w.deque.(interface{ Pending() int }); ok {
+			n += p.Pending()
+		} else {
+			n += w.deque.Len()
 		}
 	}
 	return n

@@ -79,14 +79,10 @@ func AdmissionPolicies() []AdmissionPolicy {
 	return []AdmissionPolicy{AdmitQueue, AdmitShed}
 }
 
-// Job completion states (Job.state).
-const (
-	jobPending uint32 = iota
-	jobDone
-)
-
 // closedChan is the shared, permanently closed channel Done hands out for
-// already-completed jobs, so polling a finished Job allocates nothing.
+// already-completed jobs, so polling a finished Job allocates nothing. Its
+// address is also the completion mark: Job.donep holds &closedChan once
+// the job is done.
 var closedChan = func() chan struct{} {
 	ch := make(chan struct{})
 	close(ch)
@@ -114,16 +110,15 @@ type Job struct {
 	// most one of the three at a time).
 	qnext atomic.Pointer[Job]
 
-	// Completion handshake. state flips to jobDone exactly once per
-	// generation, after the result fields below are written; donep holds
-	// the lazily published wait channel; sealed makes the close
-	// exactly-once when completer and waiter race (see Done/finish).
-	state  atomic.Uint32
-	donep  atomic.Pointer[chan struct{}]
-	sealed atomic.Bool
+	// Completion handshake. donep is nil while the job runs unobserved,
+	// the lazily published wait channel once a waiter blocks, and
+	// &closedChan once the job is done: the completer swaps the mark in
+	// with one atomic that both publishes completion and takes the
+	// channel to close (see finish).
+	donep atomic.Pointer[chan struct{}]
 
-	// The fields below are written exactly once, before state flips, and
-	// read only after observing jobDone.
+	// The fields below are written exactly once, before donep is marked
+	// done, and read only after observing the mark.
 	tp  *TaskPanic
 	err error
 	seq uint64
@@ -150,51 +145,39 @@ func (j *Job) Tenant() string { return j.tenant }
 // allocated on first use; for an already-completed job Done returns a
 // shared closed channel without allocating.
 func (j *Job) Done() <-chan struct{} {
-	if j.state.Load() == jobDone {
-		return closedChan
-	}
 	if p := j.donep.Load(); p != nil {
-		return *p
+		return *p // the published channel, or closedChan once done
 	}
 	ch := make(chan struct{})
 	if !j.donep.CompareAndSwap(nil, &ch) {
 		return *j.donep.Load()
 	}
-	// Dekker with finish: this waiter published the channel and re-checks
-	// the state; the completer stores the state and re-checks the channel.
-	// Under sequentially-consistent atomics one side must see the other,
-	// and the seal keeps the close exactly-once when both do.
-	if j.state.Load() == jobDone {
-		j.seal(&ch)
-	}
+	// Published: finish's swap takes this channel and closes it.
 	return ch
 }
 
-// seal closes the published wait channel exactly once.
-func (j *Job) seal(p *chan struct{}) {
-	if j.sealed.CompareAndSwap(false, true) {
-		close(*p)
-	}
-}
+// done reports whether the job has completed.
+func (j *Job) done() bool { return j.donep.Load() == &closedChan }
 
-// finish publishes the job's completion: flip the state (the result
-// fields are already written) and close the wait channel if any waiter
-// published one. The state store before the donep load is the completer's
-// half of the Dekker pair in Done.
+// finish publishes the job's completion (the result fields are already
+// written) by swapping the done mark into donep, and closes the wait
+// channel the swap took out, if a waiter had published one. The swap is
+// the completer's last touch of the Job: a waiter that sees the mark may
+// Release the handle and a later Submit may reuse it at once, so finish
+// must not load anything from j afterwards — a second load of donep could
+// return the next generation's channel and close it early.
 func (j *Job) finish() {
-	j.state.Store(jobDone)
-	if p := j.donep.Load(); p != nil {
-		j.seal(p)
+	if p := j.donep.Swap(&closedChan); p != nil {
+		close(*p)
 	}
 }
 
 // wait blocks until the job completes, allocating the wait channel only
 // if the job is still running.
 func (j *Job) wait() {
-	if j.state.Load() == jobDone {
-		return
+	if !j.done() {
+		<-j.Done()
 	}
-	<-j.Done()
 }
 
 // Wait blocks until the job completes and returns a runtime Stats
@@ -242,7 +225,7 @@ func (j *Job) Seq() uint64 {
 // is simply garbage-collected. Under IntakeMutex (no pooling) Release
 // validates and drops the handle.
 func (j *Job) Release() {
-	if j.state.Load() != jobDone {
+	if !j.done() {
 		panic("core: Release of an incomplete Job")
 	}
 	rt, id := j.rt, j.id
@@ -258,8 +241,6 @@ func (j *Job) Release() {
 	j.stats = Stats{}
 	j.qnext.Store(nil)
 	j.donep.Store(nil)
-	j.sealed.Store(false)
-	j.state.Store(jobPending)
 	rt.subq.putJob(id, j)
 }
 
@@ -269,9 +250,10 @@ func (j *Job) Release() {
 type lifeState int32
 
 const (
-	lifeIdle    lifeState = iota // no workers up; Submit panics
+	lifeIdle    lifeState = iota // never started; Submit panics
 	lifeServing                  // Start ran; Submit accepted
 	lifeClosing                  // Close running; Submit rejected
+	lifeClosed                   // Close returned; Submit rejected, Start allowed
 )
 
 // admitState is the admission-control half of the serving lifecycle: the
@@ -287,7 +269,7 @@ type admitState struct {
 	inflight atomic.Int64 // admitted, not yet completed
 	qlen     atomic.Int64 // len(queue) mirror; stores under mu only
 
-	max       int   // Config.MaxInflight (0 = unlimited)
+	max       int // Config.MaxInflight (0 = unlimited)
 	policy    AdmissionPolicy
 	quota     int64 // Config.TenantQuotaPages (0 = unlimited)
 	reserve   int64 // pages one inflight job reserves (Config.StackPages)
@@ -377,9 +359,9 @@ func (rt *Runtime) Start() {
 	}
 }
 
-// ensureStarted starts the runtime if it is idle, reporting whether this
-// call performed the start (false when already serving). It panics during
-// Close: the caller raced a shutdown.
+// ensureStarted starts the runtime if it is idle or closed, reporting
+// whether this call performed the start (false when already serving). It
+// panics during Close: the caller raced a shutdown.
 func (rt *Runtime) ensureStarted() bool {
 	a := &rt.admit
 	a.mu.Lock()
@@ -444,10 +426,11 @@ func (rt *Runtime) Submit(root func(*W)) *Job {
 // accounted to tenant, returning a Job handle immediately — Submit never
 // blocks. The root is picked up by the first worker whose steal sweep
 // comes up empty, so running computations are not preempted. If admission
-// control rejects the job (AdmitShed, or a Close in progress) the returned
-// Job is already complete with Err set; under AdmitQueue it waits in the
-// admission queue. Submit panics on an idle runtime — call Start first (or
-// use Run, which manages the lifecycle itself).
+// control rejects the job (AdmitShed), or the submission arrives during or
+// after Close, the returned Job is already complete with Err set (ErrShed
+// or ErrClosed, counted in Stats.JobsShed); under AdmitQueue it waits in
+// the admission queue. Submit panics on a runtime that was never started
+// — call Start first (or use Run, which manages the lifecycle itself).
 //
 // With IntakeSharded (default), no tenant quotas, and an empty admission
 // queue, the whole admission decision is lock-free: one CAS reserves an
@@ -528,7 +511,9 @@ func (rt *Runtime) submitSlow(j *Job) *Job {
 	case lifeIdle:
 		a.mu.Unlock()
 		panic("core: Submit on an idle Runtime (call Start first)")
-	case lifeClosing:
+	case lifeClosing, lifeClosed:
+		// A submission racing Close may get here after Close has already
+		// returned; it is as late as one that arrived mid-Close.
 		a.mu.Unlock()
 		rt.jobsShed.Add(1)
 		rt.finishRejected(j, ErrClosed)
@@ -674,23 +659,24 @@ func (rt *Runtime) finishRejected(j *Job, err error) {
 	j.finish()
 }
 
-// Close drains the runtime and returns it to idle: no new submissions are
-// accepted, every admitted job (running or queued for a worker) runs to
-// completion, and — while ctx lasts — jobs still waiting in the admission
-// queue are admitted as capacity frees up. If ctx expires first, the
-// not-yet-admitted queue is abandoned (each such Job completes with
-// ErrDrained, counted in Stats.JobsDrained) and Close still waits for the
-// admitted jobs, which always finish. Teardown then parks nothing: thieves
-// unwind, stacks return to the pool, reclaim tickets flush, the trace
-// flushes, and the runtime may be started (or Run) again. A nil ctx means
-// wait indefinitely. Close returns ctx's error if the drain was forced,
-// nil otherwise; calling Close on an idle runtime is a no-op. Close must
-// not be called concurrently with itself.
+// Close drains the runtime and leaves it closed: no new submissions are
+// accepted (a Submit during or after Close completes with ErrClosed),
+// every admitted job (running or queued for a worker) runs to completion,
+// and — while ctx lasts — jobs still waiting in the admission queue are
+// admitted as capacity frees up. If ctx expires first, the not-yet-admitted
+// queue is abandoned (each such Job completes with ErrDrained, counted in
+// Stats.JobsDrained) and Close still waits for the admitted jobs, which
+// always finish. Teardown then parks nothing: thieves unwind, stacks
+// return to the pool, reclaim tickets flush, the trace flushes, and the
+// runtime may be started (or Run) again. A nil ctx means wait
+// indefinitely. Close returns ctx's error if the drain was forced, nil
+// otherwise; calling Close on an idle or closed runtime is a no-op. Close
+// must not be called concurrently with itself.
 func (rt *Runtime) Close(ctx context.Context) error {
 	a := &rt.admit
 	a.mu.Lock()
 	switch lifeState(a.life.Load()) {
-	case lifeIdle:
+	case lifeIdle, lifeClosed:
 		a.mu.Unlock()
 		return nil
 	case lifeClosing:
@@ -740,7 +726,7 @@ func (rt *Runtime) Close(ctx context.Context) error {
 	rt.pool.Reopen()
 
 	a.mu.Lock()
-	a.life.Store(int32(lifeIdle))
+	a.life.Store(int32(lifeClosed))
 	a.drained = nil
 	a.mu.Unlock()
 	return err

@@ -27,14 +27,17 @@ import (
 // only then reads nparked. Under Go's sequentially-consistent atomics it
 // is impossible for the final sweep to miss the publish AND the publisher
 // to miss the registration, so either the thief leaves with the task or
-// the publisher enters wake — and wake serializes with the thief's mutex
-// section, so a deposited token cannot fall between the final sweep and
-// the sleep. Wake-one adds one case to the argument: wake may find every
-// sleeper already holding a pending token (avail == 0) and deposit
-// nothing. That is safe because a token holder is committed to waking and
-// sweeping, and a thief can only re-park through another registered-then-
-// swept park call — whose final sweep runs after this publish and
-// therefore sees the task (or sees it already taken). Work is never
+// the publisher enters wake — and wake deposits a token, which the thief
+// checks under the mutex before it sleeps, so a wake landing between the
+// final sweep and the sleep is not lost. The final sweep itself runs
+// without the mutex: it may publish work of its own (StealHalf loot) and
+// wake the lot, which takes the mutex. Wake-one adds one case to the
+// argument: wake may find every sleeper already holding a pending token
+// (avail == 0) and deposit nothing. That is safe because a token holder
+// is committed to waking and sweeping, and a thief can only re-park
+// through another registered-then-swept park call — whose final sweep
+// runs after this publish and therefore sees the task (or sees it
+// already taken). Work is never
 // stranded behind a dropped wake; at worst a token is spent on a sweep
 // that finds the task already claimed.
 type parkLot struct {
@@ -73,11 +76,19 @@ func (p *parkLot) park(finalSweep func() (task, bool)) (task, bool) {
 		return task{}, false
 	}
 	p.nparked.Add(1)
+	p.mu.Unlock()
 	if t, ok := finalSweep(); ok {
+		p.mu.Lock()
 		p.nparked.Add(-1)
+		// A wake during the sweep may have left a token for this thief;
+		// keep tokens <= nparked so no later parker sails through on it.
+		if n := int(p.nparked.Load()); p.tokens > n {
+			p.tokens = n
+		}
 		p.mu.Unlock()
 		return t, true
 	}
+	p.mu.Lock()
 	for p.tokens == 0 && !p.closed {
 		p.cond.Wait()
 	}

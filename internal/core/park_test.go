@@ -240,3 +240,32 @@ func TestWakeTokenCapNoStaleTokens(t *testing.T) {
 	p.close()
 	awaits(late, "late sleeper after close")
 }
+
+// TestParkFinalSweepMayWake: a parking thief's final sweep may publish
+// work and wake the lot itself — a StealHalf batch steal shares its loot
+// and calls wakeAll — so park must not hold its mutex across the sweep,
+// or the thief deadlocks on itself and every other worker then blocks on
+// the lot. The thief leaves with its task and banks no token.
+func TestParkFinalSweepMayWake(t *testing.T) {
+	p := newParkLot()
+	done := make(chan bool)
+	go func() {
+		_, ok := p.park(func() (task, bool) {
+			p.wakeAll()
+			p.wake(1)
+			return task{}, true
+		})
+		done <- ok
+	}()
+	select {
+	case ok := <-done:
+		if !ok {
+			t.Fatal("park dropped the task its final sweep found")
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("park deadlocked: its final sweep woke the lot")
+	}
+	if p.parked() != 0 || p.tokens != 0 {
+		t.Errorf("after the sweep found work: parked=%d tokens=%d, want 0,0", p.parked(), p.tokens)
+	}
+}

@@ -378,14 +378,28 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// slotPad separates a worker slot's words by writer: two x86-64 cache
+// lines, so the adjacent-line prefetcher cannot pair them either — the
+// same 128-byte convention as the stack-pool caches and intake shards.
+const slotPad = 128
+
 // worker is one worker slot: Listing 3's worker_t, a (deque, stack) pair.
 // The stack half lives on the goroutine currently occupying the slot (see
 // package comment); the slot itself carries the deque, the steal RNG, and
 // the slot's victim-locality hints. Only the occupying goroutine touches
-// rng, lastVictim and victimMisses.
+// rng, lastVictim, victimMisses and the arena's local list.
+//
+// The fields are grouped by writer and the groups padded apart (slotPad):
+// id and deque are read by every thief's sweep and never written after
+// construction; the owner group is written on every steal sweep and every
+// AcquireScratch/ReleaseScratch; the arena's remote list, at the end, is
+// written by other slots. The trailing pad keeps the next slot's
+// allocation off the remote list's line.
 type worker struct {
-	id           int
-	deque        taskDeque
+	id    int
+	deque taskDeque
+	_     [slotPad]byte
+
 	rng          rng
 	lastVictim   int // most recent successful victim slot; -1 when none
 	victimMisses int // consecutive failed sweeps since the last success
@@ -395,6 +409,7 @@ type worker struct {
 	// only by the goroutine currently occupying the slot (no atomics), the
 	// remote half is an MPSC hand-back list any worker may push to.
 	arena frameArena
+	_     [slotPad]byte
 }
 
 // task is a forked child waiting in a deque. A child is either a closure
@@ -597,11 +612,13 @@ func (rt *Runtime) Run(root func(*W)) Stats {
 func (rt *Runtime) RunErr(root func(*W)) (Stats, error) {
 	started := rt.ensureStarted()
 	j := rt.Submit(root)
-	j.Wait()
+	err := j.Err()
+	// The caller never sees the handle, so recycle it for the next Submit.
+	j.Release()
 	if started {
 		rt.Close(context.Background())
 	}
-	return rt.Stats(), j.Err()
+	return rt.Stats(), err
 }
 
 // Thief backoff ladder: a thief that fails a full sweep retries

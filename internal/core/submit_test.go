@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -686,5 +688,57 @@ func TestReleaseIncompletePanics(t *testing.T) {
 	j.Release()
 	if err := rt.Close(context.Background()); err != nil {
 		t.Fatalf("Close: %v", err)
+	}
+}
+
+// TestJobReleaseStress recycles Jobs as fast as they complete: 16
+// submitters each loop Submit → Err → Release, so a handle is back in the
+// pool, and resubmitted with a fresh waiter's channel, while its previous
+// generation's completer may still be returning. Each submitter polls Done
+// before Err, so it sees completion the moment it is published rather
+// than after the completer's wake-up. A completer that touched the Job
+// after publishing completion would close the next generation's channel
+// early: that generation's Err would return before its root ran, and its
+// Release would panic on an incomplete Job. The window is narrow: run
+// with -race (which widens it) and a repeat count to catch such a
+// completer.
+func TestJobReleaseStress(t *testing.T) {
+	rt := NewRuntime(Config{Workers: 4})
+	rt.Start()
+	const submitters, per = 16, 2000
+	var wg sync.WaitGroup
+	for s := 0; s < submitters; s++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := 0; k < per; k++ {
+				var ran atomic.Bool
+				j := rt.Submit(func(*W) { ran.Store(true) })
+				for polling := true; polling; {
+					select {
+					case <-j.Done():
+						polling = false
+					default:
+						runtime.Gosched()
+					}
+				}
+				if err := j.Err(); err != nil {
+					t.Errorf("job: %v", err)
+					return
+				}
+				if !ran.Load() {
+					t.Error("Err returned before the job's root ran")
+					return
+				}
+				j.Release()
+			}
+		}()
+	}
+	wg.Wait()
+	if err := rt.Close(context.Background()); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if st := rt.Stats(); st.JobsCompleted != submitters*per {
+		t.Errorf("JobsCompleted=%d, want %d", st.JobsCompleted, submitters*per)
 	}
 }

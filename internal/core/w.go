@@ -18,7 +18,7 @@ type W struct {
 	rt    *Runtime
 	slot  *worker       // current worker slot; nil in the goroutine baseline
 	stack *stack.Stack  // this goroutine's simulated stack
-	stats *counterShard // this goroutine's counter shard (uncontended)
+	stats *counterShard // shard of the slot held now; rebound on resume
 
 	depth    int32  // current invocation depth
 	frame    *Frame // frame of the task currently executing (nil at root)

@@ -30,16 +30,20 @@ import (
 // Push and Pop are owner-only; Steal and StealIf may be called from any
 // goroutine.
 type ChaseLev[T any] struct {
-	top    atomic.Int64 // next index to steal; only increases
-	bottom atomic.Int64 // next index to push; owner-managed
+	// Thief side: every steal CASes top (see padBytes).
+	top atomic.Int64 // next index to steal; only increases
+	_   [padBytes]byte
 
-	buf atomic.Pointer[clRing[T]]
+	// Owner side: every Push and Pop writes bottom.
+	bottom atomic.Int64 // next index to push; owner-managed
+	buf    atomic.Pointer[clRing[T]]
 
 	// Owner-side node recycling (EnableRecycling). free holds nodes whose
 	// entries the owner popped; Push reuses them instead of allocating.
 	// Plain owner-only memory.
 	recycle bool
 	free    []*T
+	_       [padBytes]byte
 }
 
 // clFreeCap bounds the owner's recycled-node hoard.

@@ -18,14 +18,28 @@ import (
 // initialCapacity is the starting ring size; the deque grows geometrically.
 const initialCapacity = 64
 
+// padBytes separates words that different processors write: two x86-64
+// cache lines, so the adjacent-line prefetcher cannot pair them either.
+// Every deque keeps its owner-written words padBytes away from its
+// thief-written words and ends with padBytes of padding, so neither a
+// steal attempt nor the next deque in memory (the runtime allocates one
+// per worker slot, back to back) pulls the owner's fork-path line away
+// from its core.
+const padBytes = 128
+
 // Deque is a THE-protocol work-stealing deque. The zero value is ready to
 // use. Push and Pop may be called only by the owning worker; Steal may be
 // called by any worker.
 type Deque[T any] struct {
+	// Thief side: every steal attempt writes these.
 	head atomic.Int64 // next index to steal (top); only increases
-	tail atomic.Int64 // next index to push (bottom); owner-managed
 	lock sync.Mutex   // serializes thieves, and conflict resolution
+	_    [padBytes]byte
+
+	// Owner side: every Push and Pop writes tail.
+	tail atomic.Int64 // next index to push (bottom); owner-managed
 	buf  []T          // ring buffer, len is a power of two; owner swaps under lock
+	_    [padBytes]byte
 }
 
 // Push adds t at the bottom of the deque. Owner-only; never blocks on

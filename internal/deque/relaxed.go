@@ -46,8 +46,8 @@ import (
 // those run only while thieves are actively draining the window, so their
 // cost scales with steal pressure rather than with forks.
 //
-// Push, Pop, LazyHint and Unpublished are owner-only; Steal, StealIf and
-// Len may be called from any goroutine.
+// Push, Pop, LazyHint, Unpublished and Pending are owner-only; Steal,
+// StealIf and Len may be called from any goroutine.
 type Relaxed[T Stampable[T]] struct {
 	// Owner-private ring: plain memory, owner-only. head is the oldest
 	// entry (next to publish), tail the insertion point (newest popped
@@ -56,14 +56,6 @@ type Relaxed[T Stampable[T]] struct {
 	priv     []T
 	privHead int64
 	privTail int64
-
-	// Published window: anchor packs (head, size, tag) in one word; ring
-	// holds the window's boxed nodes. The window [head, head+size) always
-	// contains every published-unclaimed task (the no-loss invariant); the
-	// tag increments on every publication so a stale thief CAS — taken
-	// against a window the owner has since rebuilt — cannot succeed.
-	anchor atomic.Uint64
-	ring   [relRingCap]atomic.Pointer[relNode[T]]
 
 	// Publication backoff (owner-only plain memory). A publication is
 	// "wasted" when the owner itself reclaims the node via Pop: the box was
@@ -79,6 +71,18 @@ type Relaxed[T Stampable[T]] struct {
 	wasted     int64 // consecutive owner-reclaimed publications
 	stolenSeen int64 // thief-consumption watermark: pubs - reclaims - size
 	sincePub   int64 // pushes since the last backoff decay
+	_          [padBytes]byte
+
+	// Published window: anchor packs (head, size, tag) in one word; ring
+	// holds the window's boxed nodes. The window [head, head+size) always
+	// contains every published-unclaimed task (the no-loss invariant); the
+	// tag increments on every publication so a stale thief CAS — taken
+	// against a window the owner has since rebuilt — cannot succeed.
+	// Thieves CAS the anchor, so it sits padBytes away from the private
+	// words above, which every Push and Pop writes.
+	anchor atomic.Uint64
+	ring   [relRingCap]atomic.Pointer[relNode[T]]
+	_      [padBytes]byte
 }
 
 // relNode boxes one published task with its execution claim. Published
@@ -116,6 +120,9 @@ type Claim struct{ state atomic.Uint32 }
 func (c *Claim) Acquire() bool {
 	return c == nil || c.state.CompareAndSwap(0, 1)
 }
+
+// won reports whether some extractor has already acquired the claim.
+func (c *Claim) won() bool { return c.state.Load() != 0 }
 
 const (
 	// relRingCap is the published ring capacity. The window never exceeds
@@ -380,7 +387,7 @@ func (d *Relaxed[T]) StealBatch(dst []T) int {
 // see, which makes it the right victim-selection signal. Like the other
 // deques' Len it is a racy snapshot. Private backlog is excluded (it
 // lives in plain owner memory a concurrent reader must not touch); use
-// Unpublished from the owner for quiescence accounting.
+// Pending from the owner for quiescence accounting.
 func (d *Relaxed[T]) Len() int {
 	_, size, _ := unpackAnchor(d.anchor.Load())
 	return int(size)
@@ -393,6 +400,24 @@ func (d *Relaxed[T]) Empty() bool { return d.Len() == 0 }
 // reads). At quiescence the harness adds it to Len to assert no forked
 // task was left behind in either half.
 func (d *Relaxed[T]) Unpublished() int { return int(d.privTail - d.privHead) }
+
+// Pending reports the tasks still owed an execution: the private backlog
+// plus the published entries whose claim nobody has won. Owner-only, and
+// exact only at quiescence. The window alone (Len) over-counts there: the
+// owner's blind anchor store in Pop can resurrect indexes a thief already
+// extracted, leaving entries whose claim was won — tasks that have run —
+// in the window after every worker has stopped. Pending skips those; an
+// unclaimed entry left behind is still counted, as a lost task must be.
+func (d *Relaxed[T]) Pending() int {
+	n := d.Unpublished()
+	head, size, _ := unpackAnchor(d.anchor.Load())
+	for i := uint64(0); i < size; i++ {
+		if e := d.ring[(head+i)&(relRingCap-1)].Load(); e == nil || !e.claim.won() {
+			n++
+		}
+	}
+	return n
+}
 
 // LazyHint reports whether the owner should publish more parallelism:
 // true when thieves see an empty window and the private side holds no

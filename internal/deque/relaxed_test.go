@@ -310,3 +310,26 @@ func BenchmarkTHEPushPopDeep(b *testing.B) {
 		d.Pop()
 	}
 }
+
+// TestRelaxedPending pins the quiescence count: Pending is the private
+// backlog plus the window entries whose claim nobody has won. An entry
+// left in the window after its claim was won — a task that ran, brought
+// back by the owner's blind anchor store — is not pending; an unclaimed
+// one is, however it got there.
+func TestRelaxedPending(t *testing.T) {
+	d := &Relaxed[relItem]{}
+	for i := 0; i < 10; i++ {
+		d.Push(relItem{v: i})
+	}
+	if d.Len() != 2 || d.Pending() != 10 {
+		t.Fatalf("after 10 pushes: Len=%d Pending=%d, want 2,10", d.Len(), d.Pending())
+	}
+	// Win the oldest window entry's claim without extracting it: it stays
+	// in the window, as a resurrected entry does.
+	if _, ok := d.StealIf(func(it relItem) bool { return !it.take() }); ok {
+		t.Fatal("StealIf extracted an entry its predicate rejected")
+	}
+	if d.Len() != 2 || d.Pending() != 9 {
+		t.Fatalf("after claiming one window entry: Len=%d Pending=%d, want 2,9", d.Len(), d.Pending())
+	}
+}

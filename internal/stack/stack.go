@@ -25,9 +25,16 @@ import (
 // pages. The paper uses 1 MB stacks with 4 KB pages = 256 pages.
 const DefaultStackPages = 256
 
+// padBytes is the trailing padding of a Stack: two x86-64 cache lines, so
+// the adjacent-line prefetcher cannot pair them either.
+const padBytes = 128
+
 // Stack is one linear stack. It is owned by at most one worker at a time;
 // suspended stacks are not touched until resumed (the runtime enforces
-// this), so methods need no internal locking.
+// this), so methods need no internal locking. Its owner writes top, high
+// and cleanFrom on every frame push, so the struct ends in padBytes of
+// padding: stacks are allocated one after another, and two workers'
+// stacks must not share a cache line.
 type Stack struct {
 	region *vm.Region
 	top    int // current watermark: bytes in use
@@ -46,6 +53,7 @@ type Stack struct {
 	parentDepth int // byte watermark of parent at the branch point
 
 	id int // small unique id for diagnostics and stats
+	_  [padBytes]byte
 }
 
 // New maps a fresh stack of n pages in the given address space.
