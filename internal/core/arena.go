@@ -106,8 +106,8 @@ func (a *frameArena) pushRemote(s *Scratch) {
 // foreign releasers handed back), and from the heap only when both are
 // empty. Slotless workers (goroutine baseline) always take the heap path.
 func (w *W) AcquireScratch() *Scratch {
-	w.stats.arenaAcquires.Add(1)
 	if w.slot != nil {
+		w.slot.arenaAcquires++
 		a := &w.slot.arena
 		if s := a.free; s != nil {
 			a.free = s.next
@@ -124,6 +124,7 @@ func (w *W) AcquireScratch() *Scratch {
 		s.home = int32(w.slot.id)
 		return s
 	}
+	w.stats.arenaAcquires.Add(1)
 	s := new(Scratch)
 	s.home = -1
 	return s
@@ -175,16 +176,24 @@ func (w *W) drainRemote(a *frameArena) *Scratch {
 //
 // The frame's references are dropped so a hoarded block pins nothing; the
 // resume channel is deliberately kept, making repeat suspensions on
-// recycled frames allocation-free.
+// recycled frames allocation-free. As in Init, the atomic words are
+// stored only when set: the count never is after a clean Join, and parent
+// only under StrategyLeapfrog.
 func (w *W) ReleaseScratch(s *Scratch) {
-	w.stats.arenaReleases.Add(1)
 	f := &s.frame
-	f.count.Store(0)
+	if f.count.Load() != 0 {
+		f.count.Store(0)
+	}
 	f.stack = nil
-	f.parent.Store(nil)
+	if f.parent.Load() != nil {
+		f.parent.Store(nil)
+	}
 	f.pendingReclaim = nil
 	f.panicked = nil
-	if w.slot != nil {
+	if w.slot == nil {
+		w.stats.arenaReleases.Add(1)
+	} else {
+		w.slot.arenaReleases++
 		a := &w.slot.arena
 		if a.n < arenaHoardCap {
 			s.home = int32(w.slot.id) // adopted: the block lives here now

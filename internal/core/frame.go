@@ -32,7 +32,7 @@ type Frame struct {
 	// zero.
 	count atomic.Int32
 
-	mu     sync.Mutex   // guards panicked only
+	mu     sync.Mutex   // serializes recordPanic's first-wins check
 	resume chan *worker // carries the finisher's slot to the parked owner
 
 	// Saved execution state, the analogue of fibril_t.state{rbp,rsp,rip}
@@ -43,6 +43,8 @@ type Frame struct {
 
 	depth int32 // invocation depth of the owning task
 	// parent is the frame of the task that declared this one (ancestry).
+	// Only leapfrog's join reads it, so Init sets it only under
+	// StrategyLeapfrog and it stays nil under every other strategy.
 	// Atomic because leapfrog StealIf predicates walk the ancestry of
 	// candidates read from lock-free deques *before* the claiming CAS: the
 	// candidate may be stale and its frame arena-recycled mid-walk, so the
@@ -88,13 +90,20 @@ func (f *Frame) isDescendantWithin(ancestor *Frame, limit int32) bool {
 }
 
 // Init prepares the frame for forking: records the owning stack, the
-// current invocation depth, and the enclosing frame for ancestry tracking.
+// current invocation depth, and — under StrategyLeapfrog, the only reader
+// — the enclosing frame for ancestry tracking. The atomic words are
+// stored only when they need a new value, so initializing a fresh or
+// joined frame costs no locked instruction.
 func (w *W) Init(f *Frame) {
-	f.count.Store(0)
+	if f.count.Load() != 0 {
+		f.count.Store(0)
+	}
 	f.stack = w.stack
 	f.watermark = 0
 	f.depth = w.depth
-	f.parent.Store(w.frame)
+	if w.strategy == StrategyLeapfrog {
+		f.parent.Store(w.frame)
+	}
 	f.initMark = w.stack.Bytes()
 	f.pendingReclaim = nil
 }
@@ -229,6 +238,9 @@ func (w *W) suspend(f *Frame) bool {
 		// Hand the worker slot to a replacement thief so exactly P slots
 		// stay busy (busy leaves). The replacement takes its stack from
 		// the pool, blocking there if a bounded (Cilk Plus) pool is empty.
+		// Flush first: the replacement may exit without ever running
+		// (pool closed), and its flushes would then never come.
+		w.flushCounts()
 		rt.goroutineWG.Add(1)
 		go rt.thiefLoop(w.slot)
 		w.slot = <-f.resume

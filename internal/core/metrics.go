@@ -46,7 +46,10 @@ type Metrics struct {
 // and address-space counters, deque length estimates, the park lot, the
 // reclaim lists, the metrics sink's histogram buckets — is individually
 // synchronized, so the snapshot is a coherent point sample of each,
-// though not a single atomic cut across all of them.
+// though not a single atomic cut across all of them. Mid-run, the fork,
+// call and arena counts in Stats lag by the tasks still running (their
+// slots publish them when each task finishes); they are exact once a Job
+// completes.
 func (rt *Runtime) Snapshot() Metrics {
 	m := Metrics{
 		Stats: rt.Stats(),

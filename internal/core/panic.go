@@ -51,11 +51,16 @@ func (f *Frame) recordPanic(tp *TaskPanic) {
 	f.mu.Unlock()
 }
 
-// takePanic returns and clears the frame's recorded panic.
+// takePanic returns and clears the frame's recorded panic. It takes no
+// lock: Join calls it only after observing a zero count, and every
+// recordPanic happens before that child's count decrement, which the
+// joiner observed — through the count load or through the resume-channel
+// receive. recordPanic keeps its lock because concurrent children still
+// race for first-wins.
 func (f *Frame) takePanic() *TaskPanic {
-	f.mu.Lock()
 	tp := f.panicked
-	f.panicked = nil
-	f.mu.Unlock()
+	if tp != nil {
+		f.panicked = nil
+	}
 	return tp
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -168,5 +169,85 @@ func TestTaskPanicUnwrapsErrors(t *testing.T) {
 	}
 	if len(tp.Stack) == 0 {
 		t.Error("no stack captured")
+	}
+}
+
+// TestConcurrentStolenPanicsRaiseOnce has several stolen children panic at
+// the same moment. Join must raise exactly one *TaskPanic, carrying one of
+// the children's values, and leave no panic on the frame: the same Scratch
+// frame, Init-ed again for a clean phase and then recycled through the
+// arena, must join without a stale panic. The joiner reaches takePanic
+// both ways — suspended and resumed through the frame's channel, and
+// (waitDone) straight after a zero count load — and reads the panic slot
+// without a lock either way, so under -race this also checks that every
+// child's recordPanic is ordered before that read.
+func TestConcurrentStolenPanicsRaiseOnce(t *testing.T) {
+	const children = 3
+	if runtime.GOMAXPROCS(0) < children+1 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(children + 1))
+	}
+	rt := NewRuntime(Config{Workers: children + 1})
+	for round := 0; round < 20; round++ {
+		waitDone := round%2 == 1
+		var raised []any
+		var leftover, stale bool
+		rt.Run(func(w *W) {
+			s := w.AcquireScratch()
+			fr := s.Frame()
+			w.Init(fr)
+			var started atomic.Int32
+			for i := 0; i < children; i++ {
+				v := i
+				w.Fork(fr, func(*W) {
+					// Hold every thief until all children are stolen, so
+					// the panics are recorded concurrently.
+					started.Add(1)
+					for started.Load() < children {
+						runtime.Gosched()
+					}
+					panic(v)
+				})
+			}
+			for started.Load() < children || (waitDone && fr.Pending() != 0) {
+				runtime.Gosched()
+			}
+			func() {
+				defer func() { raised = append(raised, recover()) }()
+				w.Join(fr)
+			}()
+			leftover = fr.panicked != nil
+
+			clean := func(fr *Frame) {
+				defer func() {
+					if recover() != nil {
+						stale = true
+					}
+				}()
+				w.Init(fr)
+				w.Fork(fr, func(*W) {})
+				w.Join(fr)
+			}
+			clean(fr)
+			w.ReleaseScratch(s)
+			s = w.AcquireScratch()
+			clean(s.Frame())
+			w.ReleaseScratch(s)
+		})
+		if len(raised) != 1 {
+			t.Fatalf("round %d: Join raised %d times, want 1", round, len(raised))
+		}
+		tp, ok := raised[0].(*TaskPanic)
+		if !ok {
+			t.Fatalf("round %d: Join raised %T (%v), want *TaskPanic", round, raised[0], raised[0])
+		}
+		if v, ok := tp.Value.(int); !ok || v < 0 || v >= children {
+			t.Errorf("round %d: panic value %v is not a child's", round, tp.Value)
+		}
+		if leftover {
+			t.Errorf("round %d: Join left its panic on the frame", round)
+		}
+		if stale {
+			t.Errorf("round %d: a clean phase on the re-Init-ed frame raised a stale panic", round)
+		}
 	}
 }

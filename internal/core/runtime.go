@@ -385,16 +385,17 @@ const slotPad = 128
 
 // worker is one worker slot: Listing 3's worker_t, a (deque, stack) pair.
 // The stack half lives on the goroutine currently occupying the slot (see
-// package comment); the slot itself carries the deque, the steal RNG, and
-// the slot's victim-locality hints. Only the occupying goroutine touches
-// rng, lastVictim, victimMisses and the arena's local list.
+// package comment); the slot itself carries the deque, the steal RNG, the
+// slot's victim-locality hints and its fork-path counters. Only the
+// occupying goroutine touches rng, lastVictim, victimMisses, the counters
+// and the arena's local list.
 //
 // The fields are grouped by writer and the groups padded apart (slotPad):
 // id and deque are read by every thief's sweep and never written after
-// construction; the owner group is written on every steal sweep and every
-// AcquireScratch/ReleaseScratch; the arena's remote list, at the end, is
-// written by other slots. The trailing pad keeps the next slot's
-// allocation off the remote list's line.
+// construction; the owner group is written on every fork, call and steal
+// sweep and every AcquireScratch/ReleaseScratch; the arena's remote list,
+// at the end, is written by other slots. The trailing pad keeps the next
+// slot's allocation off the remote list's line.
 type worker struct {
 	id    int
 	deque taskDeque
@@ -403,6 +404,18 @@ type worker struct {
 	rng          rng
 	lastVictim   int // most recent successful victim slot; -1 when none
 	victimMisses int // consecutive failed sweeps since the last success
+
+	// Fork-path counters, pending publication to the slot's counter shard
+	// (see flushCounts). Plain words: slot occupancy is exclusive, and a
+	// slot changes hands only across a go statement or a resume-channel
+	// send, both of which order the old occupant's writes before the new
+	// one's. They live here and not on W because the slot is padded and
+	// long-lived, while a W is unpadded and allocated per replacement
+	// thief.
+	forks         int64
+	calls         int64
+	arenaAcquires int64
+	arenaReleases int64
 
 	// arena is the slot's Blelloch–Wei-style free list of fixed-size
 	// Scratch blocks (frame + fork payload); the local half is touched
@@ -657,6 +670,7 @@ func (rt *Runtime) thiefLoop(slot *worker) {
 		t, ok := sweep()
 		if !ok {
 			fails++
+			w.flushCounts()
 			switch {
 			case fails <= spinSweeps:
 				// Re-sweep immediately.
@@ -684,6 +698,7 @@ func (rt *Runtime) thiefLoop(slot *worker) {
 			return
 		}
 	}
+	w.flushCounts()
 	rt.pool.Put(slot.id, w.stack)
 }
 

@@ -9,11 +9,14 @@ import (
 
 // counterShard holds one worker slot's scheduler counters. The runtime
 // keeps one shard per slot (plus a spare for slotless goroutine-baseline
-// workers), so the fork/steal hot paths increment an uncontended counter
-// instead of ping-ponging a shared cache line across P cores; Stats
-// aggregates the shards. Each shard is padded to 256 bytes — cache-line
-// multiples covering the adjacent-line prefetcher — so neighbouring slots
-// never false-share.
+// workers), so the steal and suspend paths increment an uncontended
+// counter instead of ping-ponging a shared cache line across P cores;
+// Stats aggregates the shards. The fork-path counters (forks, calls,
+// arena acquires and releases) are counted in plain words on the worker
+// slot first and reach the shard in batches (W.flushCounts); only
+// slotless workers Add to them per event. Each shard is padded to 256
+// bytes — cache-line multiples covering the adjacent-line prefetcher — so
+// neighbouring slots never false-share.
 type counterShard struct {
 	forks            atomic.Int64
 	calls            atomic.Int64
@@ -51,6 +54,12 @@ func (rt *Runtime) shard(id int) *counterShard {
 
 // Stats is a snapshot of a Runtime's scheduler and memory counters — the
 // raw material of the paper's Tables 2–4.
+//
+// Forks, Calls, ArenaAcquires and ArenaReleases are counted on the worker
+// slot and published when the task that made them finishes, so a snapshot
+// taken mid-run lags them by the tasks still running. They are exact for
+// a Job once it completes (Job.Err or Job.Wait has returned) and for the
+// whole runtime once it is quiescent.
 type Stats struct {
 	Strategy Strategy
 	Workers  int

@@ -103,3 +103,104 @@ func TestLeapfrogArenaRecycling(t *testing.T) {
 		})
 	}
 }
+
+// TestInitParentLinkOnlyUnderLeapfrog pins where Init records ancestry: a
+// frame declared inside a forked child links to the child's parent frame
+// under StrategyLeapfrog, whose join is the link's only reader, and stays
+// nil under every other strategy.
+func TestInitParentLinkOnlyUnderLeapfrog(t *testing.T) {
+	for _, strat := range Strategies() {
+		rt := NewRuntime(Config{Workers: 1, Strategy: strat})
+		var outer Frame
+		var got *Frame
+		rt.Run(func(w *W) {
+			w.Init(&outer)
+			w.Fork(&outer, func(w *W) {
+				var inner Frame
+				w.Init(&inner)
+				got = inner.parent.Load()
+			})
+			w.Join(&outer)
+		})
+		var want *Frame
+		if strat == StrategyLeapfrog {
+			want = &outer
+		}
+		if got != want {
+			t.Errorf("%v: inner frame's parent = %p, want %p", strat, got, want)
+		}
+	}
+}
+
+// TestLeapfrogAncestryOnRecycledScratch builds the same three-level frame
+// tree out of arena Scratch blocks several times in one run, so blocks
+// come back from the free list in different roles with their previous
+// parent links behind them. Each round, the descendant test must accept
+// every true ancestor and reject parents' siblings, the reverse direction
+// and self-ancestry through stale links; a released block must carry no
+// parent link.
+func TestLeapfrogAncestryOnRecycledScratch(t *testing.T) {
+	const rounds = 4
+	const limit = 8
+	rt := NewRuntime(Config{Workers: 1, Strategy: StrategyLeapfrog})
+	seen := map[*Scratch]bool{}
+	reused := 0
+	rt.Run(func(w *W) {
+		acquire := func() (*Scratch, *Frame) {
+			s := w.AcquireScratch()
+			if seen[s] {
+				reused++
+			}
+			seen[s] = true
+			return s, s.Frame()
+		}
+		release := func(s *Scratch) {
+			w.ReleaseScratch(s)
+			if s.frame.parent.Load() != nil {
+				t.Error("released Scratch block still links to a parent frame")
+			}
+		}
+		for round := 0; round < rounds; round++ {
+			sTop, top := acquire()
+			w.Init(top)
+			w.Fork(top, func(w *W) {
+				sA, a := acquire()
+				w.Init(a)
+				sB, b := acquire()
+				w.Init(b)
+				w.Fork(a, func(w *W) {
+					sG, g := acquire()
+					w.Init(g)
+					for _, c := range []struct {
+						name       string
+						f, anc     *Frame
+						descendant bool
+					}{
+						{"grandchild of child", g, a, true},
+						{"grandchild of top", g, top, true},
+						{"child of top", a, top, true},
+						{"sibling of child", b, top, true},
+						{"grandchild of child's sibling", g, b, false},
+						{"sibling of sibling", b, a, false},
+						{"top of child", top, a, false},
+						{"child of grandchild", a, g, false},
+					} {
+						if got := c.f.isDescendantWithin(c.anc, limit); got != c.descendant {
+							t.Errorf("round %d: %s: isDescendantWithin = %v, want %v",
+								round, c.name, got, c.descendant)
+						}
+					}
+					release(sG)
+				})
+				w.Join(a)
+				release(sB)
+				release(sA)
+			})
+			w.Join(top)
+			release(sTop)
+		}
+	})
+	if reused == 0 {
+		t.Fatal("no Scratch block was recycled; the test needs recycled frames")
+	}
+}

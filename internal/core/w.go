@@ -61,7 +61,6 @@ func (w *W) Fork(f *Frame, fn func(*W)) {
 // bytes for the child.
 func (w *W) ForkSized(f *Frame, bytes int, fn func(*W)) {
 	f.count.Add(1)
-	w.stats.forks.Add(1)
 	if w.wantsFork {
 		w.rt.trc.Emit(w.slotID(), trace.KindFork, int64(w.depth), 0)
 	}
@@ -70,6 +69,7 @@ func (w *W) ForkSized(f *Frame, bytes int, fn func(*W)) {
 		w.forkSlow(f, t)
 		return
 	}
+	w.slot.forks++
 	w.slot.deque.Push(t)
 	// A parked thief must be woken by any Fork so exactly P slots stay
 	// runnable whenever work exists (busy leaves). One atomic load when
@@ -92,7 +92,6 @@ func (w *W) ForkArg(f *Frame, fn func(*W, unsafe.Pointer), arg unsafe.Pointer) {
 // in bytes for the child.
 func (w *W) ForkArgSized(f *Frame, bytes int, fn func(*W, unsafe.Pointer), arg unsafe.Pointer) {
 	f.count.Add(1)
-	w.stats.forks.Add(1)
 	if w.wantsFork {
 		w.rt.trc.Emit(w.slotID(), trace.KindFork, int64(w.depth), 0)
 	}
@@ -101,6 +100,7 @@ func (w *W) ForkArgSized(f *Frame, bytes int, fn func(*W, unsafe.Pointer), arg u
 		w.forkSlow(f, t)
 		return
 	}
+	w.slot.forks++
 	w.slot.deque.Push(t)
 	w.rt.park.wake(1)
 }
@@ -133,7 +133,8 @@ func (w *W) forkSlow(f *Frame, t task) {
 		w.stats.spawnOverhead.Add(1)
 	case StrategyGoroutine:
 		// Go-native baseline: a goroutine per task with its own pooled
-		// stack; no deques, nothing to steal.
+		// stack; no deques, nothing to steal, no slot to count on.
+		w.stats.forks.Add(1)
 		go func() {
 			st := w.rt.takeStack(-1)
 			child := w.rt.newW(nil, st, w.rt.shard(-1))
@@ -143,6 +144,7 @@ func (w *W) forkSlow(f *Frame, t task) {
 		}()
 		return
 	}
+	w.slot.forks++
 	w.slot.deque.Push(t)
 	w.rt.park.wake(1)
 }
@@ -173,7 +175,11 @@ func (w *W) Call(fn func(*W)) {
 // to the caller, as in a plain function call, with the simulated frame
 // popped on the way out.
 func (w *W) CallSized(bytes int, fn func(*W)) {
-	w.stats.calls.Add(1)
+	if w.slot != nil {
+		w.slot.calls++
+	} else {
+		w.stats.calls.Add(1)
+	}
 	base, err := w.stack.Push(bytes)
 	if err != nil {
 		panic(fmt.Sprintf("core: stack overflow in Call: %v", err))
@@ -194,7 +200,11 @@ func (w *W) CallArg(fn func(*W, unsafe.Pointer), arg unsafe.Pointer) {
 
 // CallArgSized is CallArg with an explicit frame size in bytes.
 func (w *W) CallArgSized(bytes int, fn func(*W, unsafe.Pointer), arg unsafe.Pointer) {
-	w.stats.calls.Add(1)
+	if w.slot != nil {
+		w.slot.calls++
+	} else {
+		w.stats.calls.Add(1)
+	}
 	base, err := w.stack.Push(bytes)
 	if err != nil {
 		panic(fmt.Sprintf("core: stack overflow in Call: %v", err))
@@ -284,7 +294,15 @@ func (w *W) joinInlineStealing(f *Frame, eligible func(task) bool) {
 	for !w.joinDrainLocal(f) {
 		if t, ok := w.rt.steal(w, eligible); ok {
 			w.stats.restrictedSteals.Add(1)
-			w.runInline(t)
+			// A depth-restricted (TBB) steal may take another Job's task:
+			// publish its counts before its completion can finish that Job.
+			// Its completion never hands off a slot, as the inline-stealing
+			// strategies never suspend.
+			w.exec(t)
+			w.flushCounts()
+			if w.childDone(t.frame) {
+				panic("core: inline task completion triggered a slot handoff")
+			}
 			continue
 		}
 		runtime.Gosched()
@@ -349,10 +367,10 @@ func (w *W) exec(t task) {
 	}
 }
 
-// runInline executes a task popped (or inline-stolen) during a Join, on
-// top of the worker's current stack. Its completion can never resume a
-// suspended frame: local tasks' parent frames live on this goroutine's own
-// active call chain, and the inline-stealing strategies never suspend.
+// runInline executes a task popped from the slot's own deque during a
+// Join, on top of the worker's current stack. Its completion can never
+// resume a suspended frame: local tasks' parent frames live on this
+// goroutine's own active call chain.
 func (w *W) runInline(t task) {
 	w.exec(t)
 	if w.childDone(t.frame) {
@@ -371,6 +389,7 @@ func (w *W) runInline(t task) {
 func (w *W) runRoot(t task) {
 	w.rt.trc.Emit(w.slotID(), trace.KindJobStart, int64(t.job.id), 0)
 	w.exec(t)
+	w.flushCounts()
 	w.rt.completeJob(w.slotID(), t.job)
 }
 
@@ -403,8 +422,43 @@ func (w *W) runStolen(t task) {
 		ran = time.Since(t0)
 	}
 	w.rt.trc.Emit(w.slotID(), trace.KindTaskEnd, int64(t.depth), ran)
+	// Publish before childDone: once the parent sees the decrement it may
+	// complete its Job, and on a handoff the slot is no longer ours.
+	w.flushCounts()
 	if w.childDone(t.frame) {
 		w.released = true
+	}
+}
+
+// flushCounts publishes the slot's pending fork-path counters (forks,
+// calls, arena acquires and releases) to the shard of the slot held now,
+// one Add per nonzero counter, and zeroes them. The occupant calls it
+// before every point after which another goroutine may take the slot or
+// read a completed result: at the end of runStolen and runRoot, after a
+// TBB join's inline steal, in suspend before the slot goes to a
+// replacement thief, and in thiefLoop on each failed sweep and at exit. So Stats lag the live counts only by the tasks
+// still running and are exact once a Job completes. Slotless workers count
+// on their shard directly and have nothing to flush.
+func (w *W) flushCounts() {
+	s := w.slot
+	if s == nil {
+		return
+	}
+	if s.forks != 0 {
+		w.stats.forks.Add(s.forks)
+		s.forks = 0
+	}
+	if s.calls != 0 {
+		w.stats.calls.Add(s.calls)
+		s.calls = 0
+	}
+	if s.arenaAcquires != 0 {
+		w.stats.arenaAcquires.Add(s.arenaAcquires)
+		s.arenaAcquires = 0
+	}
+	if s.arenaReleases != 0 {
+		w.stats.arenaReleases.Add(s.arenaReleases)
+		s.arenaReleases = 0
 	}
 }
 
